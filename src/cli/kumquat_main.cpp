@@ -383,6 +383,10 @@ int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
       compiled->stages, kq::Source::from_fd(STDIN_FILENO), std::cout);
   std::cout.flush();
   bool trace_ok = write_trace();
+  if (result.refused) {  // rejected before reading input, like a bad plan
+    std::cerr << "kumquat: " << result.error << "\n";
+    return 2;
+  }
   if (!result.ok) {
     std::cerr << "kumquat: " << (streaming ? "streaming " : "") << "run failed: "
               << result.error << (streaming ? " (rerun with --batch)" : "")

@@ -33,7 +33,8 @@ std::optional<ParsedPipeline> parse_pipeline(std::string_view script,
     stage.argv = std::move(*words);
     out.stages.push_back(std::move(stage));
   }
-  if (out.stages.empty()) {
+  // A lone `cat` is the identity pipeline: no stages, input passes through.
+  if (out.stages.empty() && !out.had_leading_cat) {
     if (error) *error = "pipeline has no processing stages";
     return std::nullopt;
   }

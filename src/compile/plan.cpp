@@ -111,17 +111,9 @@ std::vector<exec::ExecStage> lower_plan(const Plan& plan) {
   stages.reserve(plan.stages.size());
   for (const PlannedStage& p : plan.stages) {
     exec::ExecStage stage;
-    if (p.command) {
-      stage.command = p.command;
-    } else {
-      // Unknown command: a pass-through stage would silently corrupt
-      // results, so surface the failure loudly at run time instead.
-      std::string name = p.parsed.display;
-      stage.command = cmd::make_lambda_command(
-          name, [name](std::string_view) -> std::string {
-            return "kumquat: cannot execute unknown stage: " + name + "\n";
-          });
-    }
+    // An unknown command stays null: kq::Executor refuses the plan before
+    // reading input, and `kumquat check` reports it as KQ-EXEC.
+    stage.command = p.command;
     stage.parallel = p.parallel;
     stage.eliminate_combiner = p.eliminate;
     if (p.synthesis && p.synthesis->success) {

@@ -8,7 +8,7 @@
 #include <vector>
 
 #include "compile/pipeline.h"
-#include "exec/runner.h"
+#include "exec/stage.h"
 #include "synth/synthesize.h"
 
 namespace kq::obs {

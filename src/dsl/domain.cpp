@@ -10,9 +10,11 @@ namespace kq::dsl {
 TableLine parse_table_line(std::string_view line, char d,
                            bool require_padding) {
   text::Unpadded unpadded = text::del_pad(line);
-  if (require_padding && unpadded.pad == 0) return {};
   auto split = text::split_first(unpadded.rest, d);
   if (!split.tail.has_value()) return {};
+  if (require_padding && unpadded.pad == 0 &&
+      split.head.size() < kCountFieldWidth)
+    return {};
   TableLine out;
   out.ok = true;
   out.pad = unpadded.pad;

@@ -30,6 +30,10 @@ struct TableLine {
   std::string_view head;
   std::string_view tail;
 };
+// `require_padding` asks for the right-aligned count column of GNU
+// `uniq -c` ("%7lu "): a line must be padded, unless its head alone fills
+// kCountFieldWidth columns (a count of 10^6 or more prints unpadded).
+inline constexpr std::size_t kCountFieldWidth = 7;
 TableLine parse_table_line(std::string_view line, char d,
                            bool require_padding);
 

@@ -4,54 +4,163 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <istream>
 #include <ostream>
 #include <sstream>
 #include <thread>
 
+#include "exec/parallel.h"
+#include "exec/splitter.h"
+#include "stream/block_reader.h"
+
 namespace kq {
 namespace {
 
-// Maps one batch/serial stage record into the unified node shape. The
-// stream-only gauges stay zero; the batch-only combiner fields ride in the
-// NodeMetrics extension block.
-stream::NodeMetrics to_node(const exec::StageMetrics& s) {
-  stream::NodeMetrics n;
-  n.commands = s.command;
-  n.combiner = s.combiner;
-  n.parallel = s.parallel;
-  n.chunks = s.chunks;
-  n.in_bytes = s.in_bytes;
-  n.out_bytes = s.out_bytes;
-  n.seconds = s.seconds;
-  n.combiner_eliminated = s.combiner_eliminated;
-  n.combine_fallback = s.combine_fallback;
-  return n;
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point start) {
+  return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-ExecResult from_run_result(exec::RunResult&& r) {
-  ExecResult out;
-  out.output = std::move(r.output);
-  out.seconds = r.seconds;
-  out.nodes.reserve(r.stages.size());
-  for (const exec::StageMetrics& s : r.stages) out.nodes.push_back(to_node(s));
-  return out;
+// The staged batch runner (kBatch). Mirrors the paper's evaluation
+// infrastructure (§4): every stage executes to completion before the next
+// starts, each parallelizable stage fans out to `parallelism` instances of
+// the original command, and (in optimized mode) stages whose combiner was
+// eliminated stream their output substreams directly into the next
+// parallel stage.
+ExecResult run_batch(const std::vector<exec::ExecStage>& stages,
+                     std::string_view input, exec::ThreadPool& pool,
+                     int parallelism, bool use_elimination) {
+  ExecResult result;
+  auto total_start = Clock::now();
+
+  // The in-flight data is either one combined stream or a set of
+  // substreams left uncombined by an eliminated combiner.
+  std::string current(input);
+  std::vector<std::string> substreams;
+  bool split_state = false;
+
+  for (std::size_t s = 0; s < stages.size(); ++s) {
+    const exec::ExecStage& stage = stages[s];
+    stream::NodeMetrics m;
+    m.commands = stage.command->display_name();
+    m.combiner = stage.combiner_name;
+    m.parallel = stage.parallel && parallelism > 1;
+    auto stage_start = Clock::now();
+
+    if (!m.parallel) {
+      // Sequential stage. If substreams are pending, they came from an
+      // eliminated concat combiner, so plain concatenation restores the
+      // combined stream.
+      if (split_state) {
+        current.clear();
+        for (const std::string& part : substreams) current += part;
+        substreams.clear();
+        split_state = false;
+      }
+      m.in_bytes = current.size();
+      current = stage.command->run(current);
+      m.out_bytes = current.size();
+      m.chunks = 1;
+    } else {
+      std::vector<std::string_view> chunks;
+      if (split_state) {
+        chunks.reserve(substreams.size());
+        for (const std::string& part : substreams) chunks.push_back(part);
+      } else {
+        chunks = exec::split_stream(current, parallelism);
+      }
+      m.in_bytes = 0;
+      for (std::string_view c : chunks) m.in_bytes += c.size();
+      m.chunks = static_cast<int>(chunks.size());
+
+      std::vector<std::string> outputs =
+          exec::map_chunks(*stage.command, chunks, pool);
+
+      bool can_eliminate = use_elimination && stage.eliminate_combiner &&
+                           s + 1 < stages.size() && stages[s + 1].parallel &&
+                           parallelism > 1;
+      if (can_eliminate) {
+        m.combiner_eliminated = true;
+        m.out_bytes = 0;
+        for (const std::string& o : outputs) m.out_bytes += o.size();
+        substreams = std::move(outputs);
+        split_state = true;
+        current.clear();
+      } else {
+        std::optional<std::string> combined;
+        if (stage.combine) combined = stage.combine(outputs);
+        if (!combined) {
+          // Correctness guard: if k-way combination is undefined on these
+          // outputs, fall back to running the stage serially.
+          m.combine_fallback = true;
+          std::string joined;
+          for (std::string_view c : chunks) joined.append(c);
+          combined = stage.command->run(joined);
+        }
+        substreams.clear();
+        split_state = false;
+        current = std::move(*combined);
+        m.out_bytes = current.size();
+      }
+    }
+    m.seconds = seconds_since(stage_start);
+    result.nodes.push_back(std::move(m));
+  }
+
+  if (split_state) {
+    // Pipeline ended while substreams were pending (the planner avoids
+    // this, but a trailing eliminated stage still needs its concat).
+    current.clear();
+    for (const std::string& part : substreams) current += part;
+  }
+  result.output = std::move(current);
+  result.seconds = seconds_since(total_start);
+  return result;
 }
 
-ExecResult from_stream_result(stream::StreamResult&& r) {
-  ExecResult out;
-  out.ok = r.ok;
-  out.error = std::move(r.error);
-  out.seconds = r.seconds;
-  out.peak_inflight_bytes = r.peak_inflight_bytes;
-  out.spilled_bytes = r.spilled_bytes;
-  out.bytes_read = r.bytes_read;
-  out.io_backend = std::move(r.io_backend);
-  out.stopped_early = r.stopped_early;
-  out.combine_undefined = r.combine_undefined;
-  out.batch_fallback = r.batch_fallback;
-  out.nodes = std::move(r.nodes);
-  return out;
+// The serial reference (kSerial): every stage whole-stream, no
+// parallelism. Every other mode is tested byte-for-byte against it.
+ExecResult run_serial(const std::vector<exec::ExecStage>& stages,
+                      std::string_view input) {
+  ExecResult result;
+  auto total_start = Clock::now();
+  std::string current(input);
+  for (const exec::ExecStage& stage : stages) {
+    stream::NodeMetrics m;
+    m.commands = stage.command->display_name();
+    m.chunks = 1;
+    m.in_bytes = current.size();
+    auto stage_start = Clock::now();
+    current = stage.command->run(current);
+    m.seconds = seconds_since(stage_start);
+    m.out_bytes = current.size();
+    result.nodes.push_back(std::move(m));
+  }
+  result.output = std::move(current);
+  result.seconds = seconds_since(total_start);
+  return result;
+}
+
+// A stage the registry could not resolve carries no command (see
+// compile::lower_plan). Running the plan anyway would drop or corrupt that
+// stage's stream, so it is refused before any input is read — the runtime
+// side of `kumquat check`'s KQ-EXEC error.
+bool refuse_unknown_stage(const std::vector<exec::ExecStage>& stages,
+                          ExecResult* result) {
+  for (std::size_t i = 0; i < stages.size(); ++i) {
+    if (stages[i].command) continue;
+    result->ok = false;
+    result->refused = true;
+    result->error = "[KQ-EXEC] cannot execute unknown stage: stage ";
+    result->error += std::to_string(i + 1);
+    result->error += " of ";
+    result->error += std::to_string(stages.size());
+    result->error += " resolves to no built-in command";
+    return true;
+  }
+  return false;
 }
 
 // Drains a file descriptor for the batch modes (which need the whole
@@ -90,8 +199,93 @@ exec::ThreadPool& Executor::pool() {
   return *pool_;
 }
 
-ExecResult Executor::run_whole(const std::vector<exec::ExecStage>& stages,
-                               Source input) {
+ExecResult Executor::run_stream(const std::vector<exec::ExecStage>& stages,
+                                Source input, const stream::Sink& sink) {
+  ExecResult refused;
+  if (refuse_unknown_stage(stages, &refused)) return refused;
+  // A record that cannot even be buffered within the spill budget fails
+  // loudly (EMSGSIZE) rather than growing the reader without bound.
+  const stream::BlockReaderOptions reader_options{
+      std::max<std::size_t>(options_.block_size, 1), options_.delimiter,
+      options_.spill_threshold};
+  // Declared before the reader: an fd reader reads through the engine.
+  std::unique_ptr<io::Engine> engine;
+  std::unique_ptr<stream::BlockReader> reader;
+  switch (input.kind_) {
+    case Source::Kind::kFd:
+      // The fd source honours the run's backend choice and fault plan, the
+      // same IoOptions every spill file of the run is built from.
+      engine = io::make_engine({options_.io_backend, options_.fault_plan});
+      reader = std::make_unique<stream::BlockReader>(input.fd_, engine.get(),
+                                                     reader_options);
+      break;
+    case Source::Kind::kIstream:
+      reader = std::make_unique<stream::BlockReader>(*input.in_,
+                                                     reader_options);
+      break;
+    case Source::Kind::kString:
+      reader = std::make_unique<stream::BlockReader>(
+          [rest = input.bytes_](char* buf, std::size_t n) mutable {
+            std::size_t got = rest.copy(buf, n);
+            rest.remove_prefix(got);
+            return got;
+          },
+          reader_options);
+      break;
+  }
+  return stream::run_dataflow(stages, *reader, sink, pool(), options_);
+}
+
+ExecResult Executor::run(const std::vector<exec::ExecStage>& stages,
+                         Source input, const stream::Sink& sink) {
+  // Only a stream run over an fd or istream delivers incrementally. Batch
+  // and serial produce their output whole; a string source in stream mode
+  // collects too, because its batch fallback replaces the output wholesale
+  // and would otherwise duplicate an already-delivered prefix.
+  if (options_.mode == ExecMode::kStream &&
+      input.kind_ != Source::Kind::kString)
+    return run_stream(stages, input, sink);
+  ExecResult result = run_collect(stages, input);
+  if (result.ok && sink && !sink(result.output)) result.stopped_early = true;
+  result.output.clear();
+  return result;
+}
+
+ExecResult Executor::run(const std::vector<exec::ExecStage>& stages,
+                         Source input, std::ostream& output) {
+  return run(stages, input, [&output](std::string_view bytes) {
+    output.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    return static_cast<bool>(output);
+  });
+}
+
+ExecResult Executor::run_collect(const std::vector<exec::ExecStage>& stages,
+                                 Source input) {
+  if (options_.mode == ExecMode::kStream) {
+    std::string collected;
+    ExecResult result =
+        run_stream(stages, input, [&collected](std::string_view bytes) {
+          collected.append(bytes);
+          return true;
+        });
+    if (!result.ok && result.combine_undefined &&
+        input.kind_ == Source::Kind::kString) {
+      // The batch runner's combine-fallback guard: incremental combination
+      // proved undefined on these chunk outputs, and only the string source
+      // still has the whole input at hand to rerun it.
+      collected = run_batch(stages, input.bytes_, pool(),
+                            options_.parallelism, options_.use_elimination)
+                      .output;
+      result.ok = true;
+      result.error.clear();
+      result.batch_fallback = true;
+    }
+    result.output = std::move(collected);
+    return result;
+  }
+
+  ExecResult refused;
+  if (refuse_unknown_stage(stages, &refused)) return refused;
   // Batch and serial need the whole input resident (that is their memory
   // class); non-string sources are slurped here.
   std::string owned;
@@ -120,107 +314,9 @@ ExecResult Executor::run_whole(const std::vector<exec::ExecStage>& stages,
       break;
     }
   }
-  if (options_.mode == ExecMode::kSerial)
-    return from_run_result(exec::run_serial(stages, bytes));
-  exec::RunConfig config{options_.parallelism, options_.use_elimination};
-  return from_run_result(exec::run_pipeline(stages, bytes, pool(), config));
-}
-
-ExecResult Executor::run_stream(const std::vector<exec::ExecStage>& stages,
-                                Source input, const stream::Sink& sink,
-                                std::string* collect) {
-  stream::StreamConfig config;
-  config.parallelism = options_.parallelism;
-  config.block_size = options_.block_size;
-  config.max_inflight = options_.max_inflight;
-  config.use_elimination = options_.use_elimination;
-  config.delimiter = options_.delimiter;
-  config.spill_threshold = options_.spill_threshold;
-  config.shard_slice = options_.shard_slice;
-  config.io.backend = options_.io_backend;
-  config.io.faults = options_.fault_plan;
-  config.stats = options_.stats;
-  config.tracer = options_.tracer;
-
-  stream::Sink deliver = sink;
-  if (collect) {
-    deliver = [collect](std::string_view bytes) {
-      collect->append(bytes);
-      return true;
-    };
-  }
-
-  switch (input.kind_) {
-    case Source::Kind::kFd:
-      return from_stream_result(stream::run_streaming_fd(
-          stages, input.fd_, deliver, pool(), config));
-    case Source::Kind::kIstream:
-      return from_stream_result(
-          stream::run_streaming(stages, *input.in_, deliver, pool(), config));
-    case Source::Kind::kString: {
-      // The string source keeps the original input at hand, so a mid-stream
-      // undefined combine (the batch runner's combine-fallback guard) can
-      // rerun through the batch path instead of failing — the semantics
-      // run_streaming_string always had. Output is therefore buffered and
-      // handed to the sink once at the end: a fallback after incremental
-      // delivery would otherwise duplicate the already-delivered prefix.
-      std::string buffered;
-      std::string* target = collect ? collect : &buffered;
-      std::istringstream in{std::string(input.bytes_)};
-      stream::StreamResult r = stream::run_streaming(
-          stages, in,
-          [target](std::string_view bytes) {
-            target->append(bytes);
-            return true;
-          },
-          pool(), config);
-      ExecResult out = from_stream_result(std::move(r));
-      if (!out.ok && out.combine_undefined) {
-        exec::RunConfig batch{options_.parallelism, options_.use_elimination};
-        exec::RunResult rerun =
-            exec::run_pipeline(stages, input.bytes_, pool(), batch);
-        *target = std::move(rerun.output);
-        out.ok = true;
-        out.error.clear();
-        out.batch_fallback = true;
-      }
-      if (out.ok && !collect && sink && !sink(buffered))
-        out.stopped_early = true;
-      return out;
-    }
-  }
-  ExecResult unreachable;
-  unreachable.ok = false;
-  unreachable.error = "invalid source";
-  return unreachable;
-}
-
-ExecResult Executor::run(const std::vector<exec::ExecStage>& stages,
-                         Source input, const stream::Sink& sink) {
-  if (options_.mode == ExecMode::kStream)
-    return run_stream(stages, input, sink, nullptr);
-  ExecResult result = run_whole(stages, input);
-  if (result.ok && sink && !sink(result.output)) result.stopped_early = true;
-  result.output.clear();
-  return result;
-}
-
-ExecResult Executor::run(const std::vector<exec::ExecStage>& stages,
-                         Source input, std::ostream& output) {
-  return run(stages, input, [&output](std::string_view bytes) {
-    output.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    return static_cast<bool>(output);
-  });
-}
-
-ExecResult Executor::run_collect(const std::vector<exec::ExecStage>& stages,
-                                 Source input) {
-  if (options_.mode != ExecMode::kStream) return run_whole(stages, input);
-  ExecResult result;
-  std::string collected;
-  result = run_stream(stages, input, nullptr, &collected);
-  result.output = std::move(collected);
-  return result;
+  if (options_.mode == ExecMode::kSerial) return run_serial(stages, bytes);
+  return run_batch(stages, bytes, pool(), options_.parallelism,
+                   options_.use_elimination);
 }
 
 }  // namespace kq

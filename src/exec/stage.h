@@ -1,17 +1,15 @@
-// The staged pipeline runner. Mirrors the paper's evaluation infrastructure
-// (§4): every stage executes to completion before the next starts, each
-// parallelizable stage fans out to `parallelism` instances of the original
-// command, and (in optimized mode) stages whose combiner was eliminated
-// stream their output substreams directly into the next parallel stage.
+// The lowered plan the executors run: one ExecStage per pipeline stage,
+// produced by compile::lower_plan and consumed by kq::Executor
+// (exec/executor.h) in every mode. A stage carries its command, its bound
+// k-way combiner, and the planner's memory class and streaming hints.
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "exec/splitter.h"
-#include "exec/thread_pool.h"
 #include "unixcmd/command.h"
 
 namespace kq::cmd {
@@ -81,6 +79,8 @@ inline const char* memory_class_name(MemoryClass m) {
 }
 
 struct ExecStage {
+  // Null when the registry resolved the stage to no built-in command; the
+  // Executor refuses such a plan before reading any input (KQ-EXEC).
   cmd::CommandPtr command;
   KWayCombine combine;             // null for sequential stages
   bool parallel = false;           // data-parallel execution planned
@@ -115,41 +115,5 @@ struct ExecStage {
   bool shardable = false;
   std::string combiner_name;       // for reports
 };
-
-struct StageMetrics {
-  std::string command;
-  std::string combiner;
-  double seconds = 0;
-  std::size_t in_bytes = 0;
-  std::size_t out_bytes = 0;
-  int chunks = 1;                 // substreams actually processed
-  bool parallel = false;
-  bool combiner_eliminated = false;
-  bool combine_fallback = false;  // combiner failed; reran serially
-};
-
-struct RunConfig {
-  int parallelism = 1;
-  bool use_elimination = true;  // false = the paper's "unoptimized" mode
-};
-
-struct RunResult {
-  std::string output;
-  double seconds = 0;
-  std::vector<StageMetrics> stages;
-};
-
-// DEPRECATED entry points: new call sites should go through kq::Executor
-// (exec/executor.h; modes kBatch and kSerial). They remain for one PR as
-// the facade's implementation layer and as the crossval oracle (tests
-// compare every runtime against run_serial); CI's deprecation gate rejects
-// new uses in src/ and bench/ outside the wrapper TUs.
-RunResult run_pipeline(const std::vector<ExecStage>& stages,
-                       std::string_view input, ThreadPool& pool,
-                       const RunConfig& config);
-
-// Serial reference execution (every stage whole-stream, no parallelism).
-RunResult run_serial(const std::vector<ExecStage>& stages,
-                     std::string_view input);
 
 }  // namespace kq::exec

@@ -69,9 +69,10 @@ bool uring_supported();
 // returns kAuto.
 Backend resolve_backend(Backend requested);
 
-// Per-run I/O configuration, carried in stream::StreamConfig and
-// exec::ExecOptions. `faults` is a test-only seam (see io/fault.h);
-// production runs leave it null.
+// Per-run I/O configuration, built from kq::ExecOptions' io_backend and
+// fault_plan for the fd source and every spill file of a stream run.
+// `faults` is a test-only seam (see io/fault.h); production runs leave it
+// null.
 struct IoOptions {
   Backend backend = Backend::kAuto;
   FaultPlan* faults = nullptr;

@@ -2,8 +2,8 @@
 // lives per dataflow node while a run is in flight; the node's own thread,
 // its pool workers, and the channels on either side all accumulate into it
 // with relaxed atomics (counts are monotone sums — no ordering is needed,
-// only eventual totals, which the post-join aggregation into
-// stream::StreamResult observes after every writer thread has exited).
+// only eventual totals, which the post-join aggregation into the run's
+// ExecResult::nodes observes after every writer thread has exited).
 //
 // Counter semantics (full prose in docs/OBSERVABILITY.md):
 //   records/bytes in   — blocks pulled from upstream (the node's input)

@@ -2,13 +2,11 @@
 
 #include <cerrno>
 #include <chrono>
-#include <istream>
 #include <map>
 #include <memory>
-#include <ostream>
-#include <sstream>
 #include <thread>
 
+#include "exec/executor.h"
 #include "exec/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -29,8 +27,8 @@ double seconds_since(Clock::time_point start) {
 }
 
 // Per-node telemetry handles, both optional: `counters` exists only when
-// StreamConfig::stats is on, `tracer` only under --trace-json. One
-// NodeTelemetry per segment lives in run_streaming_core for the whole run
+// ExecOptions::stats is on, `tracer` only under --trace-json. One
+// NodeTelemetry per segment lives in run_dataflow for the whole run
 // (pool tasks may hold pointers into it until wait_idle()). With both null
 // every instrumentation site below is a pointer test.
 struct NodeTelemetry {
@@ -72,7 +70,7 @@ struct Segment {
 // plan wanted parallelism and the config allows it). A plan-parallel stage
 // at k = 1 falls back to a sequential node, where declared streamability
 // is strictly better than the materialize drain.
-bool runs_parallel(const exec::ExecStage& stage, const StreamConfig& config) {
+bool runs_parallel(const exec::ExecStage& stage, const ExecOptions& config) {
   return stage.parallel && config.parallelism > 1 && stage.combine != nullptr;
 }
 
@@ -81,8 +79,8 @@ bool runs_parallel(const exec::ExecStage& stage, const StreamConfig& config) {
 // line-based built-ins define records by '\n', so a custom delimiter keeps
 // the materialize path (same rule as the line-based spill paths).
 bool stream_chain_stage(const exec::ExecStage& stage,
-                        const StreamConfig& config) {
-  if (config.delimiter != '\n' || !stage.command) return false;
+                        const ExecOptions& config) {
+  if (config.delimiter != '\n') return false;
   const cmd::Streamability s = stage.command->streamability();
   if (s == cmd::Streamability::kNone || s == cmd::Streamability::kWindow)
     return false;
@@ -94,8 +92,8 @@ bool stream_chain_stage(const exec::ExecStage& stage,
 // chain: declared kWindow and effectively sequential (the plan may still
 // parallelize a window command like wc through its synthesized combiner;
 // the window node only replaces the sequential materialize drain).
-bool window_stage(const exec::ExecStage& stage, const StreamConfig& config) {
-  if (config.delimiter != '\n' || !stage.command) return false;
+bool window_stage(const exec::ExecStage& stage, const ExecOptions& config) {
+  if (config.delimiter != '\n') return false;
   if (stage.command->streamability() != cmd::Streamability::kWindow)
     return false;
   if (stage.memory_class == exec::MemoryClass::kWindowStream) return true;
@@ -103,7 +101,7 @@ bool window_stage(const exec::ExecStage& stage, const StreamConfig& config) {
 }
 
 std::vector<Segment> build_segments(const std::vector<exec::ExecStage>& stages,
-                                    const StreamConfig& config) {
+                                    const ExecOptions& config) {
   std::vector<Segment> segments;
   const bool parallel_ok = config.parallelism > 1;
   std::size_t i = 0;
@@ -164,7 +162,7 @@ std::vector<Segment> build_segments(const std::vector<exec::ExecStage>& stages,
         bool ok = true;
         for (std::size_t j = 0; j < seg.chain.size(); ++j) {
           const exec::ExecStage* s = seg.chain[j];
-          if (!s->shardable || !s->command) {
+          if (!s->shardable) {
             ok = false;
             break;
           }
@@ -185,10 +183,11 @@ std::vector<Segment> build_segments(const std::vector<exec::ExecStage>& stages,
   return segments;
 }
 
-// State shared by every node of one run: the memory gauge, the chunk
-// buffer pool, the first failure, and the teardown fan-out that unblocks
-// all waiting nodes.
+// State shared by every node of one run: the spill I/O options, the memory
+// gauge, the chunk buffer pool, the first failure, and the teardown fan-out
+// that unblocks all waiting nodes.
 struct Shared {
+  io::IoOptions io;  // backend (resolved) and fault seam for spill files
   MemoryGauge gauge;
   BufferPool pool;  // recycled chunk buffers for per-block nodes
   std::atomic<bool> failed{false};
@@ -230,7 +229,7 @@ using Push = std::function<bool(std::string&&)>;
 // Re-blocks a combined stream for downstream consumption, cutting only at
 // record boundaries (records longer than a block travel whole).
 bool emit_blocks(std::string_view data, const Push& push,
-                 const StreamConfig& config) {
+                 const ExecOptions& config) {
   while (data.size() > config.block_size) {
     std::size_t cut = data.rfind(config.delimiter, config.block_size - 1);
     if (cut == std::string_view::npos) {
@@ -304,7 +303,7 @@ struct ParallelCtx {
 // straggler holds every slot.
 void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
                 const NodeTelemetry& tele, Shared& shared,
-                exec::ThreadPool& pool, const StreamConfig& config) {
+                exec::ThreadPool& pool, const ExecOptions& config) {
   std::size_t index = 0;
   std::string buf;
   const std::size_t chunk_target =
@@ -417,7 +416,7 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
                    const std::function<bool()>& out_closed,
                    const std::function<void()>& cancel_upstream,
                    const NodeTelemetry& tele, Shared& shared,
-                   exec::ThreadPool& pool, const StreamConfig& config) {
+                   exec::ThreadPool& pool, const ExecOptions& config) {
   std::map<std::size_t, std::string> out_of_order;
   std::size_t next_emit = 0;
   std::string acc;
@@ -448,7 +447,7 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
   // rerun — the same O(threshold)-while-draining bound as the sequential
   // materialize node.
   const bool spoolable_rerun =
-      cstage.defer_combine && cstage.rerun_combiner && cstage.command &&
+      cstage.defer_combine && cstage.rerun_combiner &&
       config.spill_threshold != 0;
   std::unique_ptr<RawSpool> spool;
 
@@ -520,7 +519,7 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
         if (spillable_merge) {
           merger = std::make_unique<SpillMerger>(
               cstage.sort_spec, SpillMerger::Input::kSortedParts,
-              config.spill_threshold, &shared.gauge, config.io,
+              config.spill_threshold, &shared.gauge, shared.io,
               tele.counters);
           merger->set_telemetry(tele.tracer, tele.label);
           for (std::string& held : group) {
@@ -530,7 +529,7 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
           group_bytes = 0;
         } else if (spoolable_rerun) {
           spool = std::make_unique<RawSpool>(config.spill_threshold,
-                                             &shared.gauge, config.io,
+                                             &shared.gauge, shared.io,
                                              tele.counters);
           spool->set_telemetry(tele.tracer, tele.label);
           for (const std::string& held : group) {
@@ -677,7 +676,7 @@ void run_sequential(const Segment& seg, NodeMetrics& metrics, const Pull& pull,
                     const std::function<bool()>& out_closed,
                     const std::function<void()>& cancel_upstream,
                     const NodeTelemetry& tele, Shared& shared,
-                    const StreamConfig& config) {
+                    const ExecOptions& config) {
   const exec::ExecStage& stage = *seg.chain.front();
   // A dead downstream makes the whole drain-and-execute pointless: poll the
   // output side while pulling so a closed sink stops a materialize stage
@@ -691,13 +690,13 @@ void run_sequential(const Segment& seg, NodeMetrics& metrics, const Pull& pull,
   // for non-sort commands, which then materialize below).
   std::shared_ptr<const cmd::SortSpec> spec;
   if (stage.memory_class == exec::MemoryClass::kSortableSpill &&
-      config.delimiter == '\n' && stage.command)
+      config.delimiter == '\n')
     spec = stage.parallel ? cmd::sort_spec_of(*stage.command)
                           : stage.sort_spec;
 
   if (spec) {
     SpillMerger sorter(std::move(spec), SpillMerger::Input::kUnsortedBlocks,
-                       config.spill_threshold, &shared.gauge, config.io,
+                       config.spill_threshold, &shared.gauge, shared.io,
                        tele.counters);
     sorter.set_telemetry(tele.tracer, tele.label);
     bool ok = true;
@@ -748,7 +747,7 @@ void run_sequential(const Segment& seg, NodeMetrics& metrics, const Pull& pull,
     return;
   }
 
-  RawSpool spool(config.spill_threshold, &shared.gauge, config.io,
+  RawSpool spool(config.spill_threshold, &shared.gauge, shared.io,
                  tele.counters);
   spool.set_telemetry(tele.tracer, tele.label);
   bool ok = true;
@@ -812,7 +811,7 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
                       const std::function<bool()>& out_closed,
                       const std::function<void()>& cancel_upstream,
                       const NodeTelemetry& tele, Shared& shared,
-                      const StreamConfig& config) {
+                      const ExecOptions& config) {
   // Pool-effectiveness counters, threaded into every acquire below (null
   // when stats are off — BufferPool then skips the bumps).
   std::atomic<std::uint64_t>* pool_hits =
@@ -874,7 +873,7 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
     if (!merger) {
       merger = std::make_unique<SpillMerger>(
           wspec, SpillMerger::Input::kSortedParts, config.spill_threshold,
-          &shared.gauge, config.io, tele.counters);
+          &shared.gauge, shared.io, tele.counters);
       merger->set_telemetry(tele.tracer, tele.label);
     }
     if (!merger->add(std::move(run))) {
@@ -1069,7 +1068,7 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
   close_out();
 }
 
-StreamConfig sanitize(StreamConfig config) {
+ExecOptions sanitize(ExecOptions config) {
   if (config.parallelism < 1) config.parallelism = 1;
   if (config.block_size == 0) config.block_size = 1;
   if (config.max_inflight == 0)
@@ -1077,15 +1076,15 @@ StreamConfig sanitize(StreamConfig config) {
         2 * static_cast<std::size_t>(config.parallelism) + 2;
   // Resolve kAuto once so every spill file and the result label agree on
   // the backend (KQ_IO_BACKEND / kernel probe; see src/io/engine.h).
-  config.io.backend = io::resolve_backend(config.io.backend);
+  config.io_backend = io::resolve_backend(config.io_backend);
   return config;
 }
 
 // The memory class the runtime *actually* gives this node — mirrors the
-// dispatch in run_streaming_core/run_sequential rather than echoing the
+// dispatch in run_dataflow/run_sequential rather than echoing the
 // plan's label (a plan-sortable stage under a custom delimiter
 // materializes; a parallel segment's residency is its combiner's).
-const char* node_memory_label(const Segment& seg, const StreamConfig& config) {
+const char* node_memory_label(const Segment& seg, const ExecOptions& config) {
   if (seg.window) return "window-stream";
   if (seg.stream) return "stateless-stream";
   if (seg.parallel) {
@@ -1102,18 +1101,20 @@ const char* node_memory_label(const Segment& seg, const StreamConfig& config) {
   }
   const exec::ExecStage& stage = *seg.chain.front();
   if (stage.memory_class == exec::MemoryClass::kSortableSpill &&
-      config.delimiter == '\n' && stage.command)
+      config.delimiter == '\n')
     return "sortable-spill";
   return "materialize";
 }
 
-StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
-                                BlockReader& reader, const Sink& sink,
-                                exec::ThreadPool& pool,
-                                const StreamConfig& raw_config) {
-  const StreamConfig config = sanitize(raw_config);
-  StreamResult result;
-  result.io_backend = io::backend_name(config.io.backend);
+}  // namespace
+
+ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
+                        BlockReader& reader, const Sink& sink,
+                        exec::ThreadPool& pool,
+                        const ExecOptions& options) {
+  const ExecOptions config = sanitize(options);
+  ExecResult result;
+  result.io_backend = io::backend_name(config.io_backend);
   auto start = Clock::now();
 
   auto read_error_message = [&config](int err) {
@@ -1146,6 +1147,7 @@ StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
   const std::size_t n = segments.size();
 
   Shared shared;
+  shared.io = {config.io_backend, config.fault_plan};
   shared.reader = &reader;
   if (config.tracer) reader.set_tracer(config.tracer);
   // The pool may retain at most one in-flight budget of free capacity:
@@ -1431,82 +1433,6 @@ StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
     result.nodes[0].recv_blocked_ns += reader.wait_ns();
   }
   result.seconds = seconds_since(start);
-  return result;
-}
-
-// Shared by every entry point: a record that cannot even be buffered
-// within the spill budget fails loudly (EMSGSIZE) rather than growing
-// pending_ without bound.
-BlockReaderOptions reader_options(const StreamConfig& config) {
-  return {config.block_size == 0 ? 1 : config.block_size, config.delimiter,
-          config.spill_threshold};
-}
-
-Sink ostream_sink(std::ostream& output) {
-  return [&output](std::string_view bytes) {
-    output.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    return static_cast<bool>(output);
-  };
-}
-
-}  // namespace
-
-StreamResult run_streaming(const std::vector<exec::ExecStage>& stages,
-                           std::istream& input, const Sink& sink,
-                           exec::ThreadPool& pool,
-                           const StreamConfig& config) {
-  BlockReader reader(input, reader_options(config));
-  return run_streaming_core(stages, reader, sink, pool, config);
-}
-
-StreamResult run_streaming(const std::vector<exec::ExecStage>& stages,
-                           std::istream& input, std::ostream& output,
-                           exec::ThreadPool& pool,
-                           const StreamConfig& config) {
-  return run_streaming(stages, input, ostream_sink(output), pool, config);
-}
-
-StreamResult run_streaming_fd(const std::vector<exec::ExecStage>& stages,
-                              int input_fd, const Sink& sink,
-                              exec::ThreadPool& pool,
-                              const StreamConfig& config) {
-  // The fd source's engine is built from the run's IoOptions so backend
-  // overrides and the fault seam reach the source path, not just spills.
-  std::unique_ptr<io::Engine> engine = io::make_engine(config.io);
-  BlockReader reader(input_fd, engine.get(), reader_options(config));
-  return run_streaming_core(stages, reader, sink, pool, config);
-}
-
-StreamResult run_streaming_fd(const std::vector<exec::ExecStage>& stages,
-                              int input_fd, std::ostream& output,
-                              exec::ThreadPool& pool,
-                              const StreamConfig& config) {
-  return run_streaming_fd(stages, input_fd, ostream_sink(output), pool,
-                          config);
-}
-
-StreamResult run_streaming_string(const std::vector<exec::ExecStage>& stages,
-                                  std::string_view input, std::string* output,
-                                  exec::ThreadPool& pool,
-                                  const StreamConfig& config) {
-  std::istringstream in{std::string(input)};
-  std::string collected;
-  Sink sink = [&collected](std::string_view bytes) {
-    collected.append(bytes);
-    return true;
-  };
-  StreamResult result = run_streaming(stages, in, sink, pool, config);
-  if (!result.ok && result.combine_undefined) {
-    // The batch runner's combine-fallback guard: incremental combination
-    // proved undefined on these chunk outputs, so rerun in memory where the
-    // original input is still available. Other failures propagate as !ok.
-    exec::RunConfig batch{config.parallelism, config.use_elimination};
-    exec::RunResult rerun = exec::run_pipeline(stages, input, pool, batch);
-    collected = std::move(rerun.output);
-    result.ok = true;
-    result.batch_fallback = true;
-  }
-  *output = std::move(collected);
   return result;
 }
 

@@ -8,6 +8,8 @@
 #include "compile/optimize.h"
 #include "compile/pipeline.h"
 #include "compile/plan.h"
+#include "exec/executor.h"
+#include "exec_oracle.h"
 
 namespace kq::compile {
 namespace {
@@ -149,16 +151,17 @@ TEST_P(PipelineEquivalence, ParallelMatchesSerial) {
   auto stages = lower_plan(plan);
 
   std::string input = gutenberg_sample();
-  exec::RunResult serial = exec::run_serial(stages, input);
-  exec::ThreadPool pool(4);
+  std::string serial = serial_output(stages, input);
   for (int k : {2, 3, 5}) {
-    exec::RunResult unopt =
-        exec::run_pipeline(stages, input, pool, {k, false});
-    EXPECT_EQ(unopt.output, serial.output)
-        << script << " (unoptimized, k=" << k << ")";
-    exec::RunResult opt = exec::run_pipeline(stages, input, pool, {k, true});
-    EXPECT_EQ(opt.output, serial.output)
-        << script << " (optimized, k=" << k << ")";
+    for (bool use_elimination : {false, true}) {
+      ExecOptions options;
+      options.mode = ExecMode::kBatch;
+      options.parallelism = k;
+      options.use_elimination = use_elimination;
+      EXPECT_EQ(Executor(options).run_collect(stages, input).output, serial)
+          << script << (use_elimination ? " (optimized" : " (unoptimized")
+          << ", k=" << k << ")";
+    }
   }
 }
 

@@ -85,6 +85,9 @@ TEST(Domain, Stitch2RequiresPaddedTable) {
   Combiner saf = combiner_stitch2_add_first(' ');
   EXPECT_TRUE(legal(saf, "      2 apple\n      1 pear\n"));
   EXPECT_FALSE(legal(saf, "2 apple\n"));   // no padding
+  // A count of 10^6 or more fills GNU's 7-column field: no padding left.
+  EXPECT_TRUE(legal(saf, "1000000 a\n"));
+  EXPECT_FALSE(legal(saf, "999999 a\n"));  // six digits still pad
   EXPECT_FALSE(legal(saf, "      x apple\n"));  // head not numeric
   EXPECT_TRUE(legal(saf, "\n"));
 }
@@ -193,6 +196,11 @@ TEST(Eval, Stitch2DistinctTailsConcatenate) {
 TEST(Eval, Stitch2PaddingShrinksWithWiderCounts) {
   Combiner saf = combiner_stitch2_add_first(' ');
   EXPECT_EQ(ev(saf, "      9 x\n", "      9 x\n").value(), "     18 x\n");
+  // Past 999999 the count fills GNU's 7-column field and loses its
+  // padding; the fold must keep accepting it on either side.
+  EXPECT_EQ(ev(saf, " 999999 a\n", "      1 a\n").value(), "1000000 a\n");
+  EXPECT_EQ(ev(saf, "1000000 a\n", " 524288 a\n").value(), "1524288 a\n");
+  EXPECT_EQ(ev(saf, "      1 b\n", "10000000 b\n").value(), "10000001 b\n");
 }
 
 TEST(Eval, OffsetAdjustsFirstFields) {

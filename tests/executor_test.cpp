@@ -1,8 +1,9 @@
-// Tests for the kq::Executor facade (exec/executor.h): every mode
-// (serial / batch / stream) over every source shape (string / istream /
-// fd) must produce byte-identical output, options must resolve the unified
-// parallelism default, and the string-source stream path must carry
-// run_streaming_string's combine-fallback semantics.
+// Tests for kq::Executor (exec/executor.h), the one way to run a pipeline:
+// every mode (serial / batch / stream) over every source shape (string /
+// istream / fd) must produce byte-identical output, options must resolve
+// the parallelism default, the string-source stream path must fall back to
+// the batch runner on an undefined combine, and a plan with an unresolved
+// stage must be refused before any input is read.
 
 #include <gtest/gtest.h>
 
@@ -17,8 +18,9 @@
 #include "compile/optimize.h"
 #include "compile/plan.h"
 #include "exec/executor.h"
-#include "exec/runner.h"
+#include "procexec/external_command.h"
 #include "unixcmd/registry.h"
+#include "exec_oracle.h"
 
 namespace kq {
 namespace {
@@ -65,7 +67,7 @@ TEST(Executor, DefaultParallelismIsHardwareDerivedAndCapped) {
 TEST(Executor, AllModesAllSourcesByteIdentical) {
   auto stages = compile_stages("tr a-z A-Z | grep ALPHA | wc -l");
   const std::string input = sample_input();
-  const std::string golden = exec::run_serial(stages, input).output;
+  const std::string golden = serial_output(stages, input);
   ASSERT_FALSE(golden.empty());
 
   for (ExecMode mode :
@@ -120,7 +122,7 @@ TEST(Executor, StreamModeReportsStreamTelemetry) {
   EXPECT_FALSE(r.nodes.empty());
 }
 
-TEST(Executor, BatchModeMapsStageMetricsIntoNodes) {
+TEST(Executor, BatchModeReportsOneNodePerStage) {
   auto stages = compile_stages("tr a-z A-Z | wc -l");
   ExecOptions options;
   options.mode = ExecMode::kBatch;
@@ -173,39 +175,92 @@ TEST(Executor, StringSourceStreamFallsBackToBatchOnUndefinedCombine) {
   EXPECT_EQ(r.output, "AB\nCD\nEF\nGH\n");
 }
 
-TEST(Executor, MatchesLegacyEntrypointsStageForStage) {
-  // Facade-vs-wrapper parity: the deprecated free functions and the facade
-  // must agree byte-for-byte while both exist.
-  auto stages = compile_stages("tr A-Z a-z | sort | uniq -c");
+TEST(Executor, RefusesUnknownStageBeforeReadingInput) {
+  // `frobnicate` resolves to no built-in: lower_plan leaves its command
+  // null and every mode must refuse the plan with the KQ-EXEC code, with
+  // no output and the source left unread.
+  auto stages = compile_stages("frobnicate | wc -l");
+  ASSERT_EQ(stages.size(), 2u);
+  EXPECT_EQ(stages[0].command, nullptr);
+  for (ExecMode mode :
+       {ExecMode::kSerial, ExecMode::kBatch, ExecMode::kStream}) {
+    ExecOptions options;
+    options.mode = mode;
+    options.parallelism = 2;
+    Executor executor(options);
+    std::istringstream in("x\n");
+    bool delivered = false;
+    ExecResult r = executor.run(stages, in, [&](std::string_view) {
+      delivered = true;
+      return true;
+    });
+    EXPECT_FALSE(r.ok) << exec_mode_name(mode);
+    EXPECT_TRUE(r.refused) << exec_mode_name(mode);
+    EXPECT_EQ(r.error.rfind("[KQ-EXEC] cannot execute unknown stage: ", 0),
+              0u)
+        << r.error;
+    EXPECT_FALSE(delivered) << exec_mode_name(mode);
+    EXPECT_EQ(in.tellg(), 0) << exec_mode_name(mode) << ": input was read";
+    EXPECT_TRUE(executor.run_collect(stages, "x\n").refused);
+  }
+}
+
+TEST(Executor, LoneCatPassesInputThrough) {
+  // `cat` alone parses to the identity pipeline (no stages) rather than a
+  // parse error, and every mode hands the input back unchanged.
+  auto parsed = compile::parse_pipeline("cat");
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_TRUE(parsed->stages.empty());
+  auto stages = compile_stages("cat");
   const std::string input = sample_input();
+  for (ExecMode mode :
+       {ExecMode::kSerial, ExecMode::kBatch, ExecMode::kStream}) {
+    ExecOptions options;
+    options.mode = mode;
+    options.block_size = 1024;
+    ExecResult r = Executor(options).run_collect(stages, input);
+    ASSERT_TRUE(r.ok) << exec_mode_name(mode) << ": " << r.error;
+    EXPECT_EQ(r.output, input) << exec_mode_name(mode);
+  }
+}
 
-  exec::RunResult serial = exec::run_serial(stages, input);
-  ExecOptions serial_options;
-  serial_options.mode = ExecMode::kSerial;
-  EXPECT_EQ(Executor(serial_options).run_collect(stages, input).output,
-            serial.output);
+TEST(Executor, UniqCountPastSixDigitsMatchesSerialAndGnu) {
+  // GNU uniq -c prints "%7lu ": a count of 10^6 or more fills the field
+  // and loses its padding. The stitch2 combiner must still fold such a
+  // line at k=4 (no combine fallback in any mode), byte-identical to the
+  // serial reference and, where installed, to GNU uniq.
+  auto stages = compile_stages("uniq -c");
+  ASSERT_EQ(stages.size(), 1u);
+  ASSERT_TRUE(stages[0].parallel);
+  std::string input;
+  for (int i = 0; i < 3000000; ++i) input += "a\n";
+  const std::string golden = serial_output(stages, input);
+  EXPECT_EQ(golden, "3000000 a\n");
+  if (procexec::program_exists("uniq")) {
+    procexec::ExternalCommand gnu({"uniq", "-c"});
+    cmd::Result theirs = gnu.execute(input);
+    if (theirs.status != 127) {
+      EXPECT_EQ(theirs.out, golden);
+    }
+  }
 
-  exec::ThreadPool pool(4);
-  exec::RunResult batch =
-      exec::run_pipeline(stages, input, pool, {4, /*use_elimination=*/true});
-  ExecOptions batch_options;
-  batch_options.mode = ExecMode::kBatch;
-  batch_options.parallelism = 4;
-  EXPECT_EQ(Executor(batch_options).run_collect(stages, input).output,
-            batch.output);
-
-  stream::StreamConfig config;
-  config.parallelism = 4;
-  config.block_size = 2048;
-  std::string streamed;
-  stream::StreamResult sr =
-      stream::run_streaming_string(stages, input, &streamed, pool, config);
-  ASSERT_TRUE(sr.ok) << sr.error;
-  ExecOptions stream_opts;
-  stream_opts.parallelism = 4;
-  stream_opts.block_size = 2048;
-  EXPECT_EQ(Executor(stream_opts).run_collect(stages, input).output,
-            streamed);
+  for (ExecMode mode : {ExecMode::kBatch, ExecMode::kStream}) {
+    ExecOptions options;
+    options.mode = mode;
+    options.parallelism = 4;
+    options.block_size = 256 << 10;
+    Executor executor(options);
+    FILE* keepalive = nullptr;
+    int fd = fd_with(input, &keepalive);
+    std::ostringstream out;
+    ExecResult r = executor.run(stages, Source::from_fd(fd), out);
+    fclose(keepalive);
+    ASSERT_TRUE(r.ok) << exec_mode_name(mode) << ": " << r.error;
+    EXPECT_FALSE(r.combine_undefined) << exec_mode_name(mode);
+    for (const stream::NodeMetrics& n : r.nodes)
+      EXPECT_FALSE(n.combine_fallback) << exec_mode_name(mode);
+    EXPECT_EQ(out.str(), golden) << exec_mode_name(mode);
+  }
 }
 
 }  // namespace

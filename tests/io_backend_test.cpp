@@ -24,9 +24,9 @@
 #include "compile/optimize.h"
 #include "compile/plan.h"
 #include "exec/executor.h"
-#include "exec/runner.h"
 #include "io/engine.h"
 #include "unixcmd/registry.h"
+#include "exec_oracle.h"
 
 namespace kq {
 namespace {
@@ -104,7 +104,7 @@ TEST_P(IoBackendCrossval, PollAndUringAreByteIdenticalToSerial) {
     compile::eliminate_intermediate_combiners(plan);
     auto stages = compile::lower_plan(plan);
 
-    std::string serial = exec::run_serial(stages, input).output;
+    std::string serial = serial_output(stages, input);
     FdInput fd(input);
     for (io::Backend backend : available_backends()) {
       for (int k : {1, 4}) {

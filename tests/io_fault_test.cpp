@@ -22,12 +22,12 @@
 #include "compile/optimize.h"
 #include "compile/plan.h"
 #include "exec/executor.h"
-#include "exec/runner.h"
 #include "io/engine.h"
 #include "io/fault.h"
 #include "stream/block_reader.h"
 #include "stream/spill.h"
 #include "unixcmd/registry.h"
+#include "exec_oracle.h"
 
 namespace kq {
 namespace {
@@ -319,7 +319,7 @@ TEST_P(IoFaultTest, SpillMergerEnospcFailsCleanly) {
 TEST_P(IoFaultTest, PipelineSurvivesSourceFaultStorm) {
   const std::string content = lines(3000);
   const std::string expect =
-      exec::run_serial(compile_stages("sort | uniq -c"), content).output;
+      serial_output(compile_stages("sort | uniq -c"), content);
 
   TempInput input(content);
   io::FaultPlan plan;

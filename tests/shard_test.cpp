@@ -15,8 +15,8 @@
 #include "compile/optimize.h"
 #include "compile/plan.h"
 #include "exec/executor.h"
-#include "exec/runner.h"
 #include "unixcmd/registry.h"
+#include "exec_oracle.h"
 
 namespace kq {
 namespace {
@@ -100,7 +100,7 @@ TEST(ShardDataflow, EligibleSegmentRunsShardedWithSliceTelemetry) {
   kq::ExecResult r = executor.run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_FALSE(r.batch_fallback);
-  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, serial_output(stages, input));
   ASSERT_EQ(r.nodes.size(), 1u);  // fused into one parallel segment
   EXPECT_TRUE(r.nodes[0].sharded);
   EXPECT_GT(r.nodes[0].shard_slice_bytes, 0u);
@@ -122,7 +122,7 @@ TEST(ShardDataflow, ShardSliceOverrideIsHonored) {
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_TRUE(r.nodes[0].sharded);
   EXPECT_EQ(r.nodes[0].shard_slice_bytes, 8192u);
-  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, serial_output(stages, input));
 }
 
 // ---------------------------------------------------- forced-spill shards --
@@ -144,7 +144,7 @@ TEST(ShardDataflow, ForcedSpillShardedSortMatchesSerial) {
   kq::ExecResult r = executor.run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_FALSE(r.batch_fallback);
-  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, serial_output(stages, input));
   EXPECT_GT(r.spilled_bytes, 0u);
   bool any_sharded_spill = false;
   for (const stream::NodeMetrics& n : r.nodes)
@@ -167,7 +167,7 @@ TEST(ShardDataflow, DownstreamHeadCancelsInflightShards) {
   kq::Executor executor(options);
   kq::ExecResult r = executor.run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, serial_output(stages, input));
   // head satisfied after 10 records: upstream cancellation must stop the
   // reader long before the ~6 MiB input drains.
   EXPECT_LT(r.bytes_read, input.size() / 4)
@@ -194,7 +194,7 @@ TEST_P(ShardCatalogCrossval, ShardedStreamingMatchesSerial) {
     compile::eliminate_intermediate_combiners(plan);
     auto stages = compile::lower_plan(plan);
 
-    std::string serial = exec::run_serial(stages, input).output;
+    std::string serial = serial_output(stages, input);
     for (int k : {2, 4, 8}) {
       kq::Executor executor(stream_options(k, 2048));
       kq::ExecResult r = executor.run_collect(stages, input);
